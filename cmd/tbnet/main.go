@@ -38,7 +38,8 @@
 //
 //	-workers N    replicated enclave sessions per model (default 4)
 //	-batch N      micro-batch flush size (default 8)
-//	-delay D      micro-batch flush delay (default 2ms)
+//	-delay D      longest a partial batch waits for batch-mates while every
+//	              worker is busy (default 2ms)
 //	-requests N   synthetic requests to serve (default 64)
 //	-models LIST  serve saved models (name=artifact.tbd, or registry names
 //	              with -registry) instead of training a pipeline; several
@@ -285,7 +286,7 @@ func runServeCmd(args []string, stdout, stderr io.Writer) int {
 	c := addCommonFlags(fs)
 	workers := fs.Int("workers", 4, "replicated enclave sessions per model")
 	batch := fs.Int("batch", 8, "micro-batch flush size")
-	delay := fs.Duration("delay", 2*time.Millisecond, "micro-batch flush delay")
+	delay := fs.Duration("delay", 2*time.Millisecond, "longest a partial batch waits for batch-mates while every worker is busy")
 	requests := fs.Int("requests", 64, "synthetic requests to serve")
 	models := fs.String("models", "", "serve saved models: name=artifact.tbd or registry names (comma-separated)")
 	regDir := fs.String("registry", "", "model registry directory for bare -models names")

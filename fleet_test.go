@@ -8,11 +8,34 @@ package tbnet
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
+	"tbnet/internal/tee"
 	"tbnet/internal/zoo"
 )
+
+// gateTap parks the first worker run it sees until release is closed, so a
+// test can keep a device's only worker busy on demand. Later runs pass
+// through.
+type gateTap struct {
+	held    chan struct{} // closed once the first run is parked in the tap
+	release chan struct{}
+	once    sync.Once
+}
+
+func newGateTap() *gateTap {
+	return &gateTap{held: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gateTap) TapRun(string, Device, string, int, []tee.Event) float64 {
+	g.once.Do(func() {
+		close(g.held)
+		<-g.release
+	})
+	return 0
+}
 
 // tinyDeployment builds a deployed untrained tiny model through the facade.
 func tinyDeployment(t *testing.T) *Deployment {
@@ -99,22 +122,32 @@ func TestNewFleetOptionValidation(t *testing.T) {
 // the public surface.
 func TestFleetShedsThroughFacade(t *testing.T) {
 	dep := tinyDeployment(t)
-	f, err := NewFleet(dep, WithDevice("rpi3", 1), WithDeadline(time.Millisecond))
+	gate := newGateTap()
+	f, err := NewFleet(dep, WithDevice("rpi3", 1), WithDeadline(time.Millisecond), WithFleetTap(gate))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	defer close(gate.release)
 	x := NewTensor(1, 3, 16, 16)
 	NewRNG(4).FillNormal(x, 0, 1)
-	// One lone request sits in an incomplete batch until the default 2ms
-	// flush window closes — past the 1ms fleet deadline — and must be shed.
-	// Retry a few times in case the host schedules the flush first.
-	for i := 0; i < 50; i++ {
-		_, err = f.Infer(context.Background(), x)
-		if err != nil {
-			break
+	// Hold the only worker on a first request. That request is itself subject
+	// to the 1ms deadline, so retry until one reaches the worker before it.
+	for held := false; !held; {
+		done := make(chan struct{})
+		go func() {
+			f.Infer(context.Background(), x)
+			close(done)
+		}()
+		select {
+		case <-gate.held:
+			held = true
+		case <-done:
 		}
 	}
+	// The probe then queues behind the busy worker past the deadline and
+	// must be shed.
+	_, err = f.Infer(context.Background(), x)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}

@@ -94,7 +94,9 @@ type Config struct {
 	MaxInFlight int
 	// MaxBatch is every node's micro-batch flush size (default 8).
 	MaxBatch int
-	// MaxDelay is every node's micro-batch flush delay (default 2ms).
+	// MaxDelay is how long a partial batch on any node keeps taking
+	// batch-mates while every worker of its pool is busy (default 2ms; see
+	// serve.Config.MaxDelay).
 	MaxDelay time.Duration
 	// QueueDepth is every node's per-model queue bound (default the serve
 	// layer's Workers×MaxBatch×4).

@@ -158,18 +158,27 @@ func TestFleetCloseUnderFire(t *testing.T) {
 // deadline is shed with ErrOverloaded instead of queueing past it.
 func TestFleetDeadlineSheds(t *testing.T) {
 	dep := testDeployment(t, 20)
+	gate := newGateTap()
 	f, err := New(dep, Config{
 		Nodes:    []NodeConfig{{Device: tee.RaspberryPi3(), Workers: 1}},
 		Deadline: time.Millisecond,
-		// An incomplete batch waits far past the deadline before flushing, so
-		// a lone request deterministically times out in the queue.
 		MaxBatch: 8,
 		MaxDelay: 250 * time.Millisecond,
+		Tap:      gate,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randSamples(1, 21)[0]
+	// Hold the node's only worker on a request sent past the fleet (so no
+	// deadline can drop it before it runs): the probe below then genuinely
+	// queues behind it until the deadline passes.
+	held := make(chan error, 1)
+	go func() {
+		_, err := f.snapshotNodes()[0].srv.Infer(context.Background(), x)
+		held <- err
+	}()
+	<-gate.held
 	if _, err := f.Infer(context.Background(), x); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("deadline miss err = %v, want ErrOverloaded", err)
 	}
@@ -183,12 +192,37 @@ func TestFleetDeadlineSheds(t *testing.T) {
 	if _, err := f.Infer(ctx, x); !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrOverloaded) {
 		t.Fatalf("caller-deadline err = %v, want bare context.DeadlineExceeded", err)
 	}
-	// Shed load is dropped at batch formation, not executed behind the
-	// caller's back: after the drain, no request was ever served.
-	f.Close()
-	if st := f.Stats(); st.Requests != 0 {
-		t.Fatalf("shed requests were executed anyway: requests = %d, want 0", st.Requests)
+	close(gate.release)
+	if err := <-held; err != nil {
+		t.Fatal(err)
 	}
+	// Shed load is dropped at batch formation, not executed behind the
+	// caller's back: after the drain, only the holding request was served.
+	f.Close()
+	if st := f.Stats(); st.Requests != 1 {
+		t.Fatalf("shed requests were executed anyway: requests = %d, want 1", st.Requests)
+	}
+}
+
+// gateTap parks the first protocol run it sees inside its worker until
+// release is closed, so a test can keep a node's only worker busy on demand
+// and let later requests genuinely queue behind it. Later runs pass through.
+type gateTap struct {
+	held    chan struct{} // closed once the first run is parked in the tap
+	release chan struct{}
+	once    sync.Once
+}
+
+func newGateTap() *gateTap {
+	return &gateTap{held: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gateTap) TapRun(string, tee.Device, string, int, []tee.Event) float64 {
+	g.once.Do(func() {
+		close(g.held)
+		<-g.release
+	})
+	return 0
 }
 
 // TestFleetMaxInFlightSheds: admission beyond the in-flight cap fails fast

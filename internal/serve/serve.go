@@ -13,8 +13,10 @@
 //     hosted models reserve their secure memory from one device-sized
 //     budget, so the server never overcommits the modeled hardware.
 //   - Micro-batching: single-sample requests are coalesced into one staged
-//     protocol run of up to MaxBatch samples (flushed early after MaxDelay),
-//     amortizing the fixed SMC and staging overhead across the batch.
+//     protocol run of up to MaxBatch samples, amortizing the fixed SMC and
+//     staging overhead across the batch. Batching is work-conserving: a
+//     partial batch goes straight to an idle worker, and only while every
+//     worker is busy does it keep taking batch-mates, for at most MaxDelay.
 //
 // A Server is multi-tenant: it hosts one or more named models concurrently
 // (AddModel), each with its own private worker pool and request queue —
@@ -71,8 +73,9 @@ type Config struct {
 	// replica is deployed with this batch capacity, so secure memory is
 	// accounted for the batched working set.
 	MaxBatch int
-	// MaxDelay is how long an incomplete batch waits for more requests
-	// before flushing (default 2ms of wall time).
+	// MaxDelay is how long a partial batch keeps taking batch-mates while
+	// every worker is busy (default 2ms of wall time). It is an upper bound,
+	// not a fixed cost: a partial batch goes to an idle worker at once.
 	MaxDelay time.Duration
 	// QueueDepth bounds the number of waiting requests per model before
 	// Infer blocks (default Workers*MaxBatch*4).
@@ -590,8 +593,8 @@ func (s *Server) Resize(workers int) error {
 	return nil
 }
 
-// dispatch coalesces queued requests into batches: a batch flushes as soon as
-// it reaches MaxBatch, or MaxDelay after its first request arrived.
+// dispatch coalesces queued requests into batches and hands each to the
+// current generation. Batching is work-conserving: see deliver.
 func (p *pool) dispatch() {
 	defer close(p.dispatcherDone)
 	defer p.retire()
@@ -604,37 +607,55 @@ func (p *pool) dispatch() {
 		if !ok {
 			return
 		}
-		batch := []*request{first}
 		timer.Reset(p.srv.cfg.MaxDelay)
-	fill:
-		for len(batch) < p.srv.cfg.MaxBatch {
-			select {
-			case r, ok := <-p.queue:
-				if !ok {
-					break fill
-				}
-				batch = append(batch, r)
-			case <-timer.C:
-				break fill
-			}
-		}
+		p.deliver(first, timer.C)
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
 			default:
 			}
 		}
-		p.deliver(batch)
 	}
 }
 
-// deliver hands one batch to the current generation. The shared lock pins
-// the generation across the (possibly blocking) send, so a concurrent swap
-// waits for the handoff instead of closing a channel mid-send.
-func (p *pool) deliver(batch []*request) {
+// deliver grows a batch from its first request and hands it to the current
+// generation. Once the queue is drained, the partial batch goes to the first
+// idle worker: the feed is unbuffered, so the send succeeds only while a
+// worker is parked on it. Only while every worker is busy does the batch keep
+// taking batch-mates, until it is full or expired fires (MaxDelay after the
+// first request); then it waits for the next free worker. The shared lock
+// pins the generation across the wait, so a concurrent swap waits for the
+// handoff instead of closing a channel mid-send.
+func (p *pool) deliver(first *request, expired <-chan time.Time) {
 	p.genMu.RLock()
-	p.gen.batches <- batch
-	p.genMu.RUnlock()
+	defer p.genMu.RUnlock()
+	feed := p.gen.batches
+	batch := make([]*request, 1, p.srv.cfg.MaxBatch)
+	batch[0] = first
+fill:
+	for len(batch) < p.srv.cfg.MaxBatch {
+		select {
+		case r, ok := <-p.queue:
+			if !ok {
+				break fill
+			}
+			batch = append(batch, r)
+			continue
+		default:
+		}
+		select {
+		case feed <- batch:
+			return
+		case r, ok := <-p.queue:
+			if !ok {
+				break fill
+			}
+			batch = append(batch, r)
+		case <-expired:
+			break fill
+		}
+	}
+	feed <- batch
 }
 
 // retire marks the pool closed for swaps and shuts the current generation's
@@ -655,6 +676,7 @@ type workerScratch struct {
 	views  []*tensor.Tensor // views[k] is a [k,C,H,W] prefix view, k ≥ 1
 	per    int              // floats per sample
 	labels []int
+	live   []*request // the batch's unexpired requests, capacity MaxBatch
 	// bd is the worker's reusable per-world execution breakdown, filled by
 	// InferIntoObserved when the batch carries at least one traced request.
 	bd obs.ExecBreakdown
@@ -670,6 +692,7 @@ func (p *pool) newScratch() *workerScratch {
 		views:  make([]*tensor.Tensor, maxBatch+1),
 		per:    per,
 		labels: make([]int, maxBatch),
+		live:   make([]*request, 0, maxBatch),
 	}
 	for k := 1; k <= maxBatch; k++ {
 		ws.views[k] = tensor.FromData(backing.Data()[:k*per], k, shape[1], shape[2], shape[3])
@@ -708,7 +731,10 @@ func (p *pool) runBatch(id int, rep *core.Deployment, ws *workerScratch, batch [
 	var wait time.Duration
 	traced := false
 	now := time.Now()
-	live := make([]*request, 0, len(batch))
+	live := ws.live[:0]
+	// Clear the reused slots on return so served requests (and their caller
+	// tensors) are not pinned until the next batch overwrites them.
+	defer clear(ws.live[:len(batch)])
 	for _, r := range batch {
 		if r.ctx != nil && r.ctx.Err() != nil {
 			r.resp <- response{err: r.ctx.Err()}
@@ -758,6 +784,14 @@ func (p *pool) runBatch(id int, rep *core.Deployment, ws *workerScratch, batch [
 		paced = p.pace(lat)
 		service += paced
 	}
+	// Record before replying: a caller holding its reply never sees a Stats
+	// count short of it.
+	p.stats.record(id, len(live), lat, hostNs, wait, err)
+	if err == nil {
+		for _, r := range live {
+			p.stats.hist.Observe(lat, r.span.ID())
+		}
+	}
 	prep := hostStart.Sub(now)
 	for i, r := range live {
 		p.pending.Add(-1)
@@ -768,11 +802,7 @@ func (p *pool) runBatch(id int, rep *core.Deployment, ws *workerScratch, batch [
 		}
 		r.resp <- response{label: labels[i]}
 	}
-	p.stats.record(id, len(live), lat, hostNs, wait, err)
 	if err == nil {
-		for _, r := range live {
-			p.stats.hist.Observe(lat, r.span.ID())
-		}
 		p.observe(len(live), service)
 	}
 }
@@ -859,19 +889,16 @@ func (p *pool) isolateBatch(id int, rep *core.Deployment, ws *workerScratch, bat
 		if err == nil && trace != nil {
 			lat += p.srv.cfg.Tap.TapRun(rep.Device, p.name, 1, trace.AttackerView())
 		}
-		var paced time.Duration
+		p.stats.record(id, 1, lat, hostNs, r.wait, err)
 		if err != nil {
 			r.resp <- response{err: err}
-		} else {
-			paced = p.pace(lat)
-			r.markStages(0, bd, paced)
-			r.resp <- response{label: labels[0]}
-			p.observe(1, hostNs+paced)
+			continue
 		}
-		p.stats.record(id, 1, lat, hostNs, r.wait, err)
-		if err == nil {
-			p.stats.hist.Observe(lat, r.span.ID())
-		}
+		paced := p.pace(lat)
+		p.stats.hist.Observe(lat, r.span.ID())
+		r.markStages(0, bd, paced)
+		r.resp <- response{label: labels[0]}
+		p.observe(1, hostNs+paced)
 	}
 }
 

@@ -200,15 +200,22 @@ func TestServerAcceptsCHWInput(t *testing.T) {
 // tail and the realized host-side batching delay the fleet layer routes on.
 func TestServerStatsP95AndQueueWait(t *testing.T) {
 	dep := testDeployment(t, 35)
-	srv, err := New(dep, Config{Workers: 1, MaxBatch: 8, MaxDelay: 30 * time.Millisecond})
+	gate := newGateTap()
+	srv, err := New(dep, Config{Workers: 1, MaxBatch: 8, MaxDelay: 30 * time.Millisecond, Tap: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// A lone request waits out the full flush delay, so the average queue
-	// wait must reflect (a good part of) MaxDelay.
-	if _, err := srv.Infer(context.Background(), randSamples(1, 36)[0]); err != nil {
-		t.Fatal(err)
+	// Hold the only worker on a first request while a second one queues
+	// behind it for 30ms, so the average queue wait over all eight requests
+	// must reflect a good part of that hold.
+	reqs := holdAndEnqueue(t, srv, gate, randSamples(2, 36))
+	time.Sleep(30 * time.Millisecond)
+	close(gate.release)
+	for _, r := range reqs {
+		if res := <-r.resp; res.err != nil {
+			t.Fatal(res.err)
+		}
 	}
 	for _, x := range randSamples(6, 37) {
 		if _, err := srv.Infer(context.Background(), x); err != nil {
@@ -340,9 +347,19 @@ func TestServerDropsExpiredRequestsAtFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An idle worker would take the request at once, so hold the generation
+	// lock the way a swap's install step does: the dispatcher cannot hand the
+	// request to a worker, and it waits in the pool past its deadline.
+	p, err := srv.lookup(DefaultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.genMu.Lock()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	if _, err := srv.Infer(ctx, randSamples(1, 56)[0]); !errors.Is(err, context.DeadlineExceeded) {
+	_, err = srv.Infer(ctx, randSamples(1, 56)[0])
+	p.genMu.Unlock()
+	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired Infer err = %v, want DeadlineExceeded", err)
 	}
 	srv.Close() // drains the queue, flushing (and dropping) the request

@@ -56,9 +56,10 @@ func WithMaxBatch(n int) ServeOption {
 	}
 }
 
-// WithMaxDelay sets how long an incomplete batch waits for more traffic
-// before flushing (default 2ms). d must be positive; pass a tiny duration
-// (e.g. time.Microsecond) for near-immediate flushing.
+// WithMaxDelay sets how long a partial batch keeps taking batch-mates while
+// every worker is busy (default 2ms). A partial batch goes to an idle worker
+// at once, so d bounds the batching wait rather than adding to every request.
+// d must be positive.
 func WithMaxDelay(d time.Duration) ServeOption {
 	return func(c *serve.Config) error {
 		if d <= 0 {
